@@ -1,5 +1,6 @@
 // Command bench runs the repository's benchmark suite in-process and
-// emits a machine-readable JSON report (BENCH_PR10.json by default),
+// emits a machine-readable JSON report (bench.json by default, an
+// untracked name, so a run never overwrites a committed BENCH_PR*.json),
 // the artifact the CI benchmark job uploads per PR so the perf
 // trajectory of the simulator is tracked commit over commit.
 //
@@ -15,7 +16,7 @@
 //
 // Run with:
 //
-//	go run ./cmd/bench [-out BENCH_PR10.json] [-quick]
+//	go run ./cmd/bench [-out bench.json] [-quick]
 //	    [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // The profiles cover the whole suite; analyze with `go tool pprof`.
@@ -229,7 +230,7 @@ func suite(quick bool) []benchmark {
 }
 
 func main() {
-	out := flag.String("out", "BENCH_PR10.json", "path of the JSON report")
+	out := flag.String("out", "bench.json", "path of the JSON report")
 	quick := flag.Bool("quick", false, "smaller sweep sizes for local smoke runs")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile covering the whole suite")
 	memprofile := flag.String("memprofile", "", "write a heap profile taken after the suite")

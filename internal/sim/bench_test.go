@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"testing"
 
 	"realisticfd/internal/fd"
@@ -79,5 +80,27 @@ func BenchmarkContributors(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = tr.Contributors(last)
+	}
+}
+
+// BenchmarkTraceDigest digests one n=64 run of the noisy workload,
+// the shape of a busy sweep's runs, whose per-run cost the digest
+// dominates. Bytes/s is the rate of canonical rendering plus hashing.
+func BenchmarkTraceDigest(b *testing.B) {
+	tr, err := Execute(Config{
+		N: 64, Automaton: noisyAutomaton{}, Oracle: fd.Perfect{Delay: 2},
+		Pattern: model.MustPattern(64).MustCrash(7, 300).MustCrash(21, 900),
+		Horizon: 2000, Seed: 1, Policy: &RandomFairPolicy{},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var rendering bytes.Buffer
+	tr.encode(&rendering)
+	b.SetBytes(int64(rendering.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = tr.Digest()
 	}
 }

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
+	"strconv"
 	"testing"
+	"testing/quick"
 
 	"realisticfd/internal/fd"
 	"realisticfd/internal/model"
@@ -111,21 +114,109 @@ func TestEncodeMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var want, got bytes.Buffer
-		encodeReference(tr, &want)
-		tr.encode(&got)
-		if !bytes.Equal(want.Bytes(), got.Bytes()) {
-			wa, ga := want.Bytes(), got.Bytes()
-			i := 0
-			for i < len(wa) && i < len(ga) && wa[i] == ga[i] {
-				i++
-			}
-			lo := i - 40
-			if lo < 0 {
-				lo = 0
-			}
-			t.Fatalf("encoder diverged from fmt reference at byte %d:\nref: ...%q\nnew: ...%q",
-				i, wa[lo:min(i+40, len(wa))], ga[lo:min(i+40, len(ga))])
+		assertEncodeMatches(t, tr)
+	}
+	for _, tr := range handBuiltTraces() {
+		assertEncodeMatches(t, tr)
+	}
+}
+
+// assertEncodeMatches fails t unless the encoder renders tr exactly as
+// encodeReference does.
+func assertEncodeMatches(t *testing.T, tr *Trace) {
+	t.Helper()
+	var want, got bytes.Buffer
+	encodeReference(tr, &want)
+	tr.encode(&got)
+	if !bytes.Equal(want.Bytes(), got.Bytes()) {
+		wa, ga := want.Bytes(), got.Bytes()
+		i := 0
+		for i < len(wa) && i < len(ga) && wa[i] == ga[i] {
+			i++
 		}
+		lo := i - 40
+		if lo < 0 {
+			lo = 0
+		}
+		t.Fatalf("encoder diverged from fmt reference at byte %d:\nref: ...%q\nnew: ...%q",
+			i, wa[lo:min(i+40, len(wa))], ga[lo:min(i+40, len(ga))])
+	}
+	longest := 0
+	for _, line := range bytes.SplitAfter(want.Bytes(), []byte("\n")) {
+		longest = max(longest, len(line))
+	}
+	if len(tr.scratch) > flushBlock+longest {
+		t.Fatalf("encoder retained %d bytes, more than a flush block plus its longest line (%d)",
+			len(tr.scratch), longest)
+	}
+}
+
+// decBoundaries are the values around every digit-count step of
+// appendDec, its table split and its strconv fallback.
+func decBoundaries() []int64 {
+	vs := []int64{0, -1, math.MinInt64, math.MaxInt64}
+	for p := int64(10); p <= 1e18; p *= 10 {
+		vs = append(vs, p-1, p, p+1)
+	}
+	return vs
+}
+
+// handBuiltTraces returns traces the engine never produces: IDs, times
+// and sender indices on appendDec's boundaries, an event line and an
+// undelivered buffer each longer than a flush block, and an empty
+// trace.
+func handBuiltTraces() []*Trace {
+	vs := decBoundaries()
+	pat := model.MustPattern(64).MustCrash(7, 300)
+	var events []EventRecord
+	var undelivered []*Message
+	for i, v := range vs {
+		m := &Message{
+			ID: v, From: 1, To: 64, SentAt: model.Time(v), SentBy: int(v),
+			Payload: vs[len(vs)-1-i],
+		}
+		events = append(events, EventRecord{
+			Index: int(v), P: model.ProcessID(1 + i%64), T: model.Time(v),
+			FD: model.NewProcessSet(1, 64), PrevSameProc: int(v), Msg: m,
+			Sends:  []*Message{m},
+			Events: []ProtocolEvent{{Kind: EventKind(i), Instance: int(v), Value: model.Time(v)}},
+		})
+		undelivered = append(undelivered, m)
+	}
+	var long []*Message
+	for len(long)*len(" snd=(99999999 >64 99999999)") <= 2*flushBlock {
+		long = append(long, &Message{ID: 99999999, To: 64, Payload: 99999999})
+	}
+	events = append(events, EventRecord{Index: 1, P: 64, T: 1e8, Sends: long})
+	for i := 0; len(undelivered)*len("u=(99999999 1>64 @9999 ok)\n") <= 2*flushBlock; i++ {
+		undelivered = append(undelivered, &Message{
+			ID: int64(99999999 - i), From: 1, To: 64, SentAt: 9999, Payload: "ok",
+		})
+	}
+	return []*Trace{
+		{N: 64, Stopped: StopHorizon, Pattern: pat, Events: events, Undelivered: undelivered},
+		{N: 4, Pattern: model.MustPattern(4)},
+	}
+}
+
+// TestAppendDecMatchesStrconv holds the table-driven decimal renderer
+// to strconv.AppendInt on every boundary and on random int64s.
+func TestAppendDecMatchesStrconv(t *testing.T) {
+	t.Parallel()
+	for _, v := range decBoundaries() {
+		if got, want := string(appendDec([]byte("x"), v)), "x"+strconv.FormatInt(v, 10); got != want {
+			t.Errorf("appendDec(%d) = %q, want %q", v, got, want)
+		}
+	}
+	same := func(v int64, small uint32) bool {
+		for _, x := range []int64{v, int64(small % 1e8)} {
+			if string(appendDec(nil, x)) != strconv.FormatInt(x, 10) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(same, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -117,10 +117,10 @@ type Run struct {
 	steady  fd.Steady  // oracle's stability declaration, nil if none
 
 	// Alive-set cache: rebuilt only when a crash takes effect, never
-	// per tick. aliveList is sorted by ID (the Policy contract);
-	// nextCrash is the earliest crash time among its members, kept
-	// current by the pattern's crash hook when adversarial hooks
-	// extend F mid-run.
+	// per tick. aliveList is sorted by ID and only ever shrinks (the
+	// Policy contract); nextCrash is the earliest crash time among its
+	// members, kept current by the pattern's crash hook when
+	// adversarial hooks extend F mid-run.
 	aliveList []model.ProcessID
 	aliveSet  model.ProcessSet
 	nextCrash model.Time

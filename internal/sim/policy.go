@@ -18,7 +18,10 @@ import (
 // deliberately withhold messages the way the Lemma 4.1 proof does.
 type Policy interface {
 	// NextProcess picks which of the alive processes steps at time t.
-	// alive is non-empty and sorted by ID.
+	// alive is non-empty and sorted by ID without duplicates. A caller
+	// that passes the same slice again may have changed its elements
+	// only together with its length; the engine's alive list, rebuilt
+	// in place only when a crash shrinks it, satisfies this.
 	NextProcess(alive []model.ProcessID, t model.Time, r *rand.Rand) model.ProcessID
 
 	// PickMessage picks the index into pending of the message p
@@ -72,37 +75,53 @@ type RandomFairPolicy struct {
 
 	order []model.ProcessID
 	pos   int
+	rest  model.ProcessSet // order[pos:] as a set
+
+	// Cache of the set of the last alive slice seen, keyed by that
+	// slice's first element and length. The engine passes its own
+	// cached alive list, rebuilt in place only when a crash shrinks it,
+	// so the set is rebuilt once per crash rather than once per pick.
+	aliveHead *model.ProcessID
+	aliveLen  int
+	aliveT    model.Time
+	alive     model.ProcessSet
 }
 
 var _ Policy = (*RandomFairPolicy)(nil)
 
 // NextProcess implements Policy with shuffled rounds.
-func (rp *RandomFairPolicy) NextProcess(alive []model.ProcessID, _ model.Time, r *rand.Rand) model.ProcessID {
+func (rp *RandomFairPolicy) NextProcess(alive []model.ProcessID, t model.Time, r *rand.Rand) model.ProcessID {
 	// Rebuild the round order when exhausted or when membership
 	// changed (crashes shrink the alive set mid-round).
-	if rp.pos >= len(rp.order) || !subsetOfAlive(rp.order[rp.pos:], alive) {
+	av := rp.aliveSet(alive, t)
+	if rp.pos >= len(rp.order) || !rp.rest.SubsetOf(av) {
 		rp.order = append(rp.order[:0], alive...)
 		r.Shuffle(len(rp.order), func(i, j int) {
 			rp.order[i], rp.order[j] = rp.order[j], rp.order[i]
 		})
 		rp.pos = 0
+		rp.rest = av
 	}
 	p := rp.order[rp.pos]
 	rp.pos++
+	rp.rest = rp.rest.Remove(p)
 	return p
 }
 
-func subsetOfAlive(order []model.ProcessID, alive []model.ProcessID) bool {
-	var av model.ProcessSet
-	for _, p := range alive {
-		av = av.Add(p)
-	}
-	for _, p := range order {
-		if !av.Has(p) {
-			return false
+// aliveSet returns alive as a set, rebuilding the cached one only when
+// alive is another slice than at the last call, or the same slice at
+// another length, or when time did not advance (a new run reusing the
+// policy on a recycled list).
+func (rp *RandomFairPolicy) aliveSet(alive []model.ProcessID, t model.Time) model.ProcessSet {
+	if &alive[0] != rp.aliveHead || len(alive) != rp.aliveLen || t <= rp.aliveT {
+		rp.aliveHead, rp.aliveLen = &alive[0], len(alive)
+		rp.alive = model.EmptySet()
+		for _, p := range alive {
+			rp.alive = rp.alive.Add(p)
 		}
 	}
-	return true
+	rp.aliveT = t
+	return rp.alive
 }
 
 // PickMessage implements Policy.

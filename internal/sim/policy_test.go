@@ -166,3 +166,118 @@ func TestOracleNoiseDeterminism(t *testing.T) {
 		t.Fatal("different seeds produced identical noise")
 	}
 }
+
+// subsetOfAlive is the membership test RandomFairPolicy used before it
+// cached the alive set: it rebuilds the set from alive on every pick.
+func subsetOfAlive(order []model.ProcessID, alive []model.ProcessID) bool {
+	var av model.ProcessSet
+	for _, p := range alive {
+		av = av.Add(p)
+	}
+	for _, p := range order {
+		if !av.Has(p) {
+			return false
+		}
+	}
+	return true
+}
+
+// referenceFairPolicy is RandomFairPolicy with its round rebuilt by the
+// reference rule: whenever subsetOfAlive finds a crashed process among
+// the round's remaining ones.
+type referenceFairPolicy struct {
+	RandomFairPolicy
+	order []model.ProcessID
+	pos   int
+}
+
+func (rp *referenceFairPolicy) NextProcess(alive []model.ProcessID, _ model.Time, r *rand.Rand) model.ProcessID {
+	if rp.pos >= len(rp.order) || !subsetOfAlive(rp.order[rp.pos:], alive) {
+		rp.order = append(rp.order[:0], alive...)
+		r.Shuffle(len(rp.order), func(i, j int) {
+			rp.order[i], rp.order[j] = rp.order[j], rp.order[i]
+		})
+		rp.pos = 0
+	}
+	p := rp.order[rp.pos]
+	rp.pos++
+	return p
+}
+
+// TestRandomFairPolicyMatchesReference drives RandomFairPolicy and the
+// reference rule through random crash sequences and asserts the same
+// pick sequence, seed for seed. As in the engine, the alive list is
+// rebuilt in place and only shrinks within a run. The second run on
+// the same policy restarts time on the recycled list, holding as many
+// processes as the first run ended with but shifted by one ID.
+func TestRandomFairPolicyMatchesReference(t *testing.T) {
+	t.Parallel()
+	for seed := int64(0); seed < 200; seed++ {
+		crashes := rand.New(rand.NewSource(seed))
+		n := 4 + crashes.Intn(61)
+		got, want := &RandomFairPolicy{}, &referenceFairPolicy{}
+		rg, rw := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		var alive []model.ProcessID
+		for p := 1; p <= n; p++ {
+			if crashes.Intn(8) > 0 || p == n {
+				alive = append(alive, model.ProcessID(p))
+			}
+		}
+		for run := 0; run < 2; run++ {
+			if run > 0 {
+				var shifted model.ProcessSet
+				for _, p := range alive {
+					shifted = shifted.Add(p%model.ProcessID(n) + 1)
+				}
+				alive = append(alive[:0], shifted.Slice()...)
+			}
+			for tick := model.Time(1); tick <= 400; tick++ {
+				if len(alive) > 1 && crashes.Intn(40) == 0 {
+					k := 1 + crashes.Intn(min(3, len(alive)-1))
+					for i := 0; i < k; i++ {
+						j := crashes.Intn(len(alive))
+						alive = append(alive[:j], alive[j+1:]...)
+					}
+				}
+				pg, pw := got.NextProcess(alive, tick, rg), want.NextProcess(alive, tick, rw)
+				if pg != pw {
+					t.Fatalf("seed %d run %d t=%d: picked %v, reference %v (alive %v)", seed, run, tick, pg, pw, alive)
+				}
+			}
+		}
+	}
+}
+
+// TestRandomFairPolicyMatchesReferenceInEngine runs both rules through
+// the engine under random crash patterns and requires byte-identical
+// traces.
+func TestRandomFairPolicyMatchesReferenceInEngine(t *testing.T) {
+	t.Parallel()
+	for seed := int64(0); seed < 40; seed++ {
+		crashes := rand.New(rand.NewSource(seed))
+		n := 4 + crashes.Intn(29)
+		pattern := func() *model.FailurePattern {
+			pat := model.MustPattern(n)
+			r := rand.New(rand.NewSource(seed))
+			for p := 1; p < n; p++ {
+				if r.Intn(3) == 0 {
+					pat = pat.MustCrash(model.ProcessID(p), model.Time(r.Intn(300)))
+				}
+			}
+			return pat
+		}
+		digest := func(p Policy) string {
+			tr, err := Execute(Config{
+				N: n, Automaton: noisyAutomaton{}, Oracle: fd.Perfect{Delay: 2},
+				Pattern: pattern(), Horizon: 600, Seed: seed, Policy: p,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tr.Digest()
+		}
+		if got, want := digest(&RandomFairPolicy{}), digest(&referenceFairPolicy{}); got != want {
+			t.Fatalf("seed %d n=%d: digest %s, reference %s", seed, n, got, want)
+		}
+	}
+}
